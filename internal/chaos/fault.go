@@ -164,7 +164,9 @@ func (f Write) apply(h *Harness) {
 // at the priority class above update transmissions, starving the
 // decoupled send path exactly like a runaway co-located task. The hog is
 // the overload stimulus for governor scenarios — Burn/Period is the
-// stolen CPU fraction.
+// stolen CPU fraction. The burn is a virtual-time effect of the modelled
+// CPU: on a real-time clock the resource runs the empty burst at its
+// measured cost and steals nothing.
 type CPUHog struct {
 	// Node names the victim (it must currently run a primary).
 	Node string

@@ -34,6 +34,24 @@ type Clock interface {
 	Post(fn func())
 }
 
+// RealTimeClock is implemented by clocks whose executor runs in wall-clock
+// time. Components that model resource costs (internal/cpu) consult it:
+// under virtual time a modelled cost is the only time that passes, while
+// in real time the work itself takes time and sleeping for the model on
+// top would only add delay.
+type RealTimeClock interface {
+	// RealTime reports whether the clock's executor runs in wall-clock
+	// time.
+	RealTime() bool
+}
+
+// IsRealTime reports whether clk runs in wall-clock time. Clocks without
+// the marker (SimClock) are virtual.
+func IsRealTime(clk Clock) bool {
+	rt, ok := clk.(RealTimeClock)
+	return ok && rt.RealTime()
+}
+
 // Event is a handle to a scheduled callback.
 type Event struct {
 	when    time.Time

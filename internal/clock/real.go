@@ -38,6 +38,10 @@ func NewReal() *RealClock {
 
 var _ Clock = (*RealClock)(nil)
 var _ MonotonicClock = (*RealClock)(nil)
+var _ RealTimeClock = (*RealClock)(nil)
+
+// RealTime implements RealTimeClock: the loop runs in wall-clock time.
+func (r *RealClock) RealTime() bool { return true }
 
 // Now reports the current wall-clock time.
 func (r *RealClock) Now() time.Time { return time.Now() }

@@ -67,6 +67,11 @@ func NewSkewed(base Clock) *SkewedClock {
 
 var _ Clock = (*SkewedClock)(nil)
 var _ MonotonicClock = (*SkewedClock)(nil)
+var _ RealTimeClock = (*SkewedClock)(nil)
+
+// RealTime implements RealTimeClock by forwarding to the base clock: a
+// skewed wrapper runs on its base's executor, virtual or real.
+func (k *SkewedClock) RealTime() bool { return IsRealTime(k.base) }
 
 // totalDrift reports drift accrued up to base instant t.
 func (k *SkewedClock) totalDrift(t time.Time) time.Duration {

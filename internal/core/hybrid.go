@@ -81,7 +81,9 @@ func (p *Primary) startCriticalWrite(o *object, arrival time.Time, done func(tim
 // transmitCritical pays the CPU cost and emits the acked update to every
 // peer still waited on, then arms the retransmission timer. Critical
 // transmissions use the high-priority CPU class: the client is blocked on
-// them.
+// them. It is re-entered only from that timer, at most
+// CriticalMaxRetries times per write, so a CPU that charges nothing (real
+// time) cannot turn it into a loop.
 func (p *Primary) transmitCritical(o *object, pa *pendingAck) {
 	if !p.running {
 		return

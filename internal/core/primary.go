@@ -258,7 +258,9 @@ func (p *Primary) forwardRegistration(pr *replicaPeer, o *object, retriesLeft in
 // ClientWrite services one client write: the value is installed after the
 // CPU cost of the operation, and done (optional) observes the response
 // time. The version timestamp is the write's arrival instant — the moment
-// the client sampled the external world.
+// the client sampled the external world. The modelled ClientOp cost is a
+// virtual-time effect: on a real-time clock the write waits only for the
+// work queued ahead of it, and the cost is admission's WCET.
 func (p *Primary) ClientWrite(name string, data []byte, done func(latency time.Duration, err error)) {
 	finish := func(lat time.Duration, err error) {
 		if done != nil {
@@ -404,7 +406,10 @@ type batchEntry struct {
 // peer carrying every update bound for it, and chains the next step. One
 // submission is outstanding at a time, so client writes arriving
 // meanwhile interleave fairly in the low-priority FIFO instead of waiting
-// behind a pre-queued backlog.
+// behind a pre-queued backlog. The chain is bounded even when the CPU
+// charges nothing (real time): every step removes at least one entry from
+// the send queues and the chain stops when they are empty, and entries
+// are only added by update-task releases, which timers pace.
 func (p *Primary) drainStep() {
 	if !p.running || p.role != RolePrimary {
 		p.drainActive = false
@@ -589,7 +594,11 @@ func (p *Primary) maybeStartPump() {
 
 // pumpStep transmits the next object in round-robin order and chains the
 // following transmission — the "schedule as many updates as the resources
-// allow" discipline of compressed scheduling.
+// allow" discipline of compressed scheduling. Under virtual time the
+// modelled send cost paces the chain. A real-time CPU charges no modelled
+// cost, so the pump paces itself at the declared send cost with a clock
+// timer; chaining straight on would spin the executor and flood the
+// socket.
 func (p *Primary) pumpStep() {
 	if !p.running || p.role != RolePrimary || !p.anyPeerAlive() || p.cfg.Scheduling != ScheduleCompressed {
 		p.pumpActive = false
@@ -600,8 +609,13 @@ func (p *Primary) pumpStep() {
 		p.pumpActive = false
 		return
 	}
-	p.proc.Submit(cpu.Low, p.cfg.Costs.sendCost(len(o.value)), func() {
+	cost := p.cfg.Costs.sendCost(len(o.value))
+	p.proc.Submit(cpu.Low, cost, func() {
 		p.sendUpdateNow(o)
+		if p.proc.RealTime() {
+			p.clk.Schedule(cost, p.pumpStep)
+			return
+		}
 		p.pumpStep()
 	})
 }

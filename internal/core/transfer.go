@@ -263,7 +263,9 @@ func (p *Primary) sendNextChunk(pr *replicaPeer) {
 // fresh at transmission — application is idempotent under supersedes),
 // and arms the retransmission timer. A chunk that exhausts its retry
 // budget abandons the generation; the joiner's digest retry resumes the
-// transfer from whatever landed.
+// transfer from whatever landed. It never chains itself: the next chunk
+// waits for the joiner's ack or the retry timer, so a CPU that charges
+// nothing (real time) still sends one chunk per round trip or backoff.
 func (p *Primary) pushChunk(pr *replicaPeer, gen uint32, final, retrans bool) {
 	if !p.running || p.peerByAddr(pr.addr) != pr || !pr.xferActive || pr.xferGen != gen {
 		return

@@ -7,6 +7,12 @@
 // scheduling (Figure 12) is "schedule as many updates to backup as the
 // resources allow": an update pump that chains one transmission after
 // another through the low-priority class of this resource.
+//
+// Costs are modelled in virtual time only. On a clock that runs in wall
+// time (clock.IsRealTime) the resource keeps the same two classes and
+// serial order but runs each item on the next executor turn, so the work
+// takes exactly as long as it really takes; the declared costs are then
+// the admission test's WCETs and nothing more.
 package cpu
 
 import (
@@ -28,12 +34,12 @@ const (
 // Resource is a non-preemptive two-level priority FIFO processor.
 type Resource struct {
 	clk  clock.Clock
+	real bool
 	high []work
 	low  []work
 
 	running  bool
 	busy     time.Duration
-	started  time.Time
 	lastIdle time.Time
 }
 
@@ -42,14 +48,21 @@ type work struct {
 	fn   func()
 }
 
-// New returns an idle resource driven by clk.
+// New returns an idle resource driven by clk. The dispatch path follows
+// the clock: modelled costs under virtual time, measured costs in real
+// time.
 func New(clk clock.Clock) *Resource {
-	return &Resource{clk: clk, lastIdle: clk.Now()}
+	return &Resource{clk: clk, real: clock.IsRealTime(clk), lastIdle: clk.Now()}
 }
 
 // Submit enqueues work that occupies the processor for cost and then runs
-// fn. fn runs on the clock executor at the work's completion instant.
-// Zero-cost work still round-trips through the queue, preserving ordering.
+// fn. fn runs on the clock executor, never inside Submit, after every
+// item queued before it in its class; Low work also yields to any High
+// work waiting when the processor frees up. Under virtual time the item holds the processor for cost and fn runs at
+// its completion instant; zero-cost work still round-trips through the
+// queue, preserving ordering. In real time cost is ignored: fn runs on
+// the next executor turn once the processor is free, and the time it
+// takes is what BusyTime counts.
 func (r *Resource) Submit(p Priority, cost time.Duration, fn func()) {
 	if cost < 0 {
 		cost = 0
@@ -78,6 +91,19 @@ func (r *Resource) dispatch() {
 		return
 	}
 	r.running = true
+	if r.real {
+		// One item per posted turn, so due timers and inbound datagrams
+		// interleave with a long backlog instead of waiting behind it.
+		r.clk.Post(func() {
+			start := time.Now()
+			if w.fn != nil {
+				w.fn()
+			}
+			r.busy += time.Since(start)
+			r.dispatch()
+		})
+		return
+	}
 	r.busy += w.cost
 	r.clk.Schedule(w.cost, func() {
 		if w.fn != nil {
@@ -87,12 +113,17 @@ func (r *Resource) dispatch() {
 	})
 }
 
+// RealTime reports whether the resource runs work at its measured cost
+// (a real-time clock) rather than its modelled cost (virtual time).
+func (r *Resource) RealTime() bool { return r.real }
+
 // QueueLen reports the number of queued (not yet started) work items.
 func (r *Resource) QueueLen() int { return len(r.high) + len(r.low) }
 
 // Busy reports whether the processor is executing work right now.
 func (r *Resource) Busy() bool { return r.running }
 
-// BusyTime reports the cumulative processor time consumed by completed
-// and in-progress work.
+// BusyTime reports the cumulative processor time consumed: modelled cost
+// of completed and in-progress work under virtual time, measured time
+// spent in completed work in real time.
 func (r *Resource) BusyTime() time.Duration { return r.busy }

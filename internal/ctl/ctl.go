@@ -21,7 +21,11 @@
 //	  hop count from it)
 //	STATUS
 //	  → OK role=<primary|backup> objects=<n> utilization=<u> epoch=<e>
-//	    backupAlive=<bool> transitions=<n>
+//	    backupAlive=<bool> transitions=<n> cpu=<real|modelled>
+//	    cpu_busy_ms=<ms> cpu_queue=<n>
+//	  (cpu is the executor mode: real runs work at its measured cost,
+//	  modelled charges the cost model in virtual time; cpu_busy_ms is
+//	  the processor time consumed so far, cpu_queue the work waiting)
 //	REPAIR
 //	  → OK synced=<n> peers=<m> [| <addr> alive=<bool> syncing=<bool>
 //	    observer=<bool> sent=<entries> skipped=<entries> retx=<chunks>
@@ -104,9 +108,7 @@ func (s *Server) handle(line string, reply func(string)) {
 	case "READ":
 		reply(s.read(fields[1:]))
 	case "STATUS":
-		reply(fmt.Sprintf("OK role=%s objects=%d utilization=%.4f epoch=%d backupAlive=%v transitions=%d",
-			s.primary.Role(), s.primary.Objects(), s.primary.Utilization(), s.primary.Epoch(),
-			s.primary.BackupAlive(), s.primary.Transitions()))
+		reply(s.status())
 	case "REPAIR":
 		reply(s.repair())
 	case "OBSERVERS":
@@ -122,6 +124,22 @@ func (s *Server) handle(line string, reply func(string)) {
 	default:
 		reply("ERR unknown command " + cmd)
 	}
+}
+
+// status reports the replica's role and admission state, then its CPU
+// executor: real (work runs at measured cost, busy time measured) or
+// modelled (virtual time, busy time is the modelled cost), with the
+// backlog of queued work.
+func (s *Server) status() string {
+	p := s.primary
+	proc := p.CPU()
+	mode := "modelled"
+	if proc.RealTime() {
+		mode = "real"
+	}
+	return fmt.Sprintf("OK role=%s objects=%d utilization=%.4f epoch=%d backupAlive=%v transitions=%d cpu=%s cpu_busy_ms=%.3f cpu_queue=%d",
+		p.Role(), p.Objects(), p.Utilization(), p.Epoch(), p.BackupAlive(), p.Transitions(),
+		mode, float64(proc.BusyTime())/float64(time.Millisecond), proc.QueueLen())
 }
 
 func (s *Server) register(args []string) string {

@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"encoding/base64"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -124,10 +125,25 @@ func TestControlRegisterWriteReadStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"role=primary", "objects=1", "transitions=0"} {
+	for _, want := range []string{"role=primary", "objects=1", "transitions=0", "cpu=real"} {
 		if !strings.Contains(reply, want) {
 			t.Fatalf("STATUS reply = %q, missing %q", reply, want)
 		}
+	}
+	// The executor fields parse, and the real-time primary's queue has
+	// drained behind the write.
+	kv := map[string]string{}
+	for _, f := range strings.Fields(reply)[1:] {
+		if k, v, ok := strings.Cut(f, "="); ok {
+			kv[k] = v
+		}
+	}
+	busy, err := strconv.ParseFloat(kv["cpu_busy_ms"], 64)
+	if err != nil || busy < 0 {
+		t.Fatalf("STATUS cpu_busy_ms = %q (err %v), want a non-negative number", kv["cpu_busy_ms"], err)
+	}
+	if q, err := strconv.Atoi(kv["cpu_queue"]); err != nil || q != 0 {
+		t.Fatalf("STATUS cpu_queue = %q (err %v), want 0", kv["cpu_queue"], err)
 	}
 }
 
