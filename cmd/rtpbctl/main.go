@@ -209,10 +209,12 @@ func doPrint(c *ctl.Client, line string) error {
 // printStatus renders the STATUS reply
 //
 //	OK role=<primary|backup> objects=<n> utilization=<u> epoch=<e>
-//	  backupAlive=<bool> transitions=<n>
+//	  backupAlive=<bool> transitions=<n> cpu=<real|modelled>
+//	  cpu_busy_ms=<ms> cpu_queue=<n>
 //
 // as an aligned one-row table. Replies from an older daemon (no role=
-// field) are printed verbatim.
+// field) are printed verbatim; executor fields it does not send show
+// as "-".
 func printStatus(reply string) error {
 	if !strings.HasPrefix(reply, "OK ") {
 		fmt.Println(reply)
@@ -228,11 +230,17 @@ func printStatus(reply string) error {
 		fmt.Println(reply)
 		return nil
 	}
-	fmt.Printf("%-8s %-8s %-12s %-6s %-7s %s\n",
-		"ROLE", "OBJECTS", "UTILIZATION", "EPOCH", "BACKUP", "TRANSITIONS")
-	fmt.Printf("%-8s %-8s %-12s %-6s %-7s %s\n",
-		kv["role"], kv["objects"], kv["utilization"], kv["epoch"],
-		kv["backupAlive"], kv["transitions"])
+	for _, k := range []string{"cpu", "cpu_busy_ms", "cpu_queue"} {
+		if kv[k] == "" {
+			kv[k] = "-"
+		}
+	}
+	const row = "%-8s %-8s %-12s %-6s %-7s %-12s %-9s %-12s %s\n"
+	fmt.Printf(row, "ROLE", "OBJECTS", "UTILIZATION", "EPOCH", "BACKUP",
+		"TRANSITIONS", "CPU", "CPU_BUSY_MS", "CPU_QUEUE")
+	fmt.Printf(row, kv["role"], kv["objects"], kv["utilization"], kv["epoch"],
+		kv["backupAlive"], kv["transitions"], kv["cpu"], kv["cpu_busy_ms"],
+		kv["cpu_queue"])
 	return nil
 }
 

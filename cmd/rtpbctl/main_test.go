@@ -78,7 +78,7 @@ func stubServer(t *testing.T) string {
 					case strings.HasPrefix(line, "ROUTE "):
 						fmt.Fprintln(conn, "OK shard 1 primary shard1-b:7000 epoch 2")
 					case line == "STATUS":
-						fmt.Fprintln(conn, "OK role=primary objects=2 utilization=0.4800 epoch=3 backupAlive=true transitions=2")
+						fmt.Fprintln(conn, "OK role=primary objects=2 utilization=0.4800 epoch=3 backupAlive=true transitions=2 cpu=real cpu_busy_ms=12.500 cpu_queue=1")
 					default:
 						fmt.Fprintln(conn, "ERR unknown command")
 					}
@@ -138,13 +138,13 @@ func TestStatusTableRoundTrip(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("want header + 1 row, got %d lines:\n%s", len(lines), out)
 	}
-	for _, want := range []string{"ROLE", "OBJECTS", "UTILIZATION", "EPOCH", "BACKUP", "TRANSITIONS"} {
+	for _, want := range []string{"ROLE", "OBJECTS", "UTILIZATION", "EPOCH", "BACKUP", "TRANSITIONS", "CPU", "CPU_BUSY_MS", "CPU_QUEUE"} {
 		if !strings.Contains(lines[0], want) {
 			t.Fatalf("header missing %q: %q", want, lines[0])
 		}
 	}
 	row := strings.Fields(lines[1])
-	if want := []string{"primary", "2", "0.4800", "3", "true", "2"}; !equalSlices(row, want) {
+	if want := []string{"primary", "2", "0.4800", "3", "true", "2", "real", "12.500", "1"}; !equalSlices(row, want) {
 		t.Fatalf("status row = %v, want %v", row, want)
 	}
 }

@@ -170,13 +170,20 @@ func run(args []string) error {
 		return err
 	}
 	defer transport.Close()
+	// The stack installs the transport's receiver, which is executor
+	// state: build it there.
 	var port *rtpb.PortProtocol
-	if *mtu > 0 {
-		port, err = rtpb.NewStackMTU(transport, clk, *mtu)
-	} else {
-		port, err = rtpb.NewStack(transport)
-	}
-	if err != nil {
+	built := make(chan error, 1)
+	clk.Post(func() {
+		var err error
+		if *mtu > 0 {
+			port, err = rtpb.NewStackMTU(transport, clk, *mtu)
+		} else {
+			port, err = rtpb.NewStack(transport)
+		}
+		built <- err
+	})
+	if err := <-built; err != nil {
 		return err
 	}
 	// The peer flag names the peer's UDP socket; the RTPB protocol itself

@@ -213,10 +213,53 @@ func (p *Primary) startUpdateTask(o *object) {
 	case ScheduleWriteThrough:
 		return // transmissions ride on client writes
 	}
-	// Spread initial offsets implicitly: the task starts one period out.
-	o.task = clock.NewPeriodic(p.clk, o.updatePeriod, o.updatePeriod, func() {
+	o.task = clock.NewPeriodic(p.clk, p.joinReleaseGroup(o.updatePeriod), o.updatePeriod, func() {
 		p.transmit(o, cpu.Low)
 	})
+}
+
+// releaseGroup is a set of normal-scheduling update tasks with one
+// period whose releases fall on the same instants, anchor + k·period, so
+// their updates are queued together and drained into one frame. The RM
+// admission test already assumes simultaneous release, so choosing the
+// phase this way costs no schedulability.
+type releaseGroup struct {
+	anchor  time.Time
+	members int
+}
+
+// joinReleaseGroup returns the first-release offset for a new update task
+// with the given period. The task joins the open group for its period if
+// that group has fewer than min(FrameBatch, SendQueueLimit) members —
+// one frame's worth, and no more than a peer's send queue holds without
+// dropping — and then first releases at the group's next instant after
+// now. Otherwise it opens a new group one period out. Either way the
+// offset lies in (0, period]. Tasks started at one instant (every
+// simulated registration batch, every promotion) all open or join a
+// group anchored at now + period, so their schedule is the one-period-out
+// rule's. The legacy unbounded queue keeps that rule for every task.
+func (p *Primary) joinReleaseGroup(period time.Duration) time.Duration {
+	limit := 1
+	if p.cfg.SendQueueLimit != UnboundedSendQueue {
+		limit = min(p.cfg.FrameBatch, p.cfg.SendQueueLimit)
+	}
+	now := p.clk.Now()
+	g := p.groups[period]
+	if g != nil && g.members < limit {
+		// Clock readings never decrease (SkewedClock latches a backward
+		// step), so the anchor is at most one period ahead of now.
+		g.members++
+		d := g.anchor.Sub(now)
+		if d <= 0 {
+			d = period - (-d)%period // the next anchor + k·period after now
+		}
+		return d
+	}
+	if p.groups == nil {
+		p.groups = make(map[time.Duration]*releaseGroup)
+	}
+	p.groups[period] = &releaseGroup{anchor: now.Add(period), members: 1}
+	return period
 }
 
 func (p *Primary) retimeUpdateTask(o *object) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,6 +40,19 @@ type realNode struct {
 	clk  *clock.RealClock
 	tr   *netsim.UDPTransport
 	port *xkernel.PortProtocol
+	// sent counts the datagrams the stack hands to the socket.
+	sent atomic.Int64
+}
+
+// countingTransport counts the datagrams sent through a UDP transport.
+type countingTransport struct {
+	*netsim.UDPTransport
+	sent *atomic.Int64
+}
+
+func (c countingTransport) Send(to string, payload []byte) error {
+	c.sent.Add(1)
+	return c.UDPTransport.Send(to, payload)
 }
 
 // addr is the node's RTPB endpoint behind its UDP socket.
@@ -61,7 +75,7 @@ func newRealNode(t *testing.T) *realNode {
 	onReal(t, n.clk, func() error {
 		g, err := xkernel.BuildGraph([]xkernel.Spec{
 			{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-			{Name: "driver", Build: xkernel.DriverFactory(tr)},
+			{Name: "driver", Build: xkernel.DriverFactory(countingTransport{tr, &n.sent})},
 		})
 		if err != nil {
 			return err
@@ -436,5 +450,59 @@ func TestRealTimeJoinChunksBounded(t *testing.T) {
 	}
 	if later.Digests == done.Digests && later.Chunks != done.Chunks {
 		t.Fatalf("chunks kept flowing after the join completed: %d → %d", done.Chunks, later.Chunks)
+	}
+}
+
+// TestRealTimeReleaseGroupsFillFrames checks that same-period update
+// tasks registered over a spread of wall-clock time share release
+// instants, so their updates leave in multi-update frames rather than
+// one datagram per release.
+func TestRealTimeReleaseGroupsFillFrames(t *testing.T) {
+	const (
+		objects  = 64
+		spread   = 20 * time.Millisecond
+		run      = time.Second
+		wantMean = 4.0
+	)
+	pn, bn, p, b := newRealPair(t, func(c *Config) {
+		c.Costs = CostModel{ClientOp: time.Microsecond, UpdateSend: time.Microsecond}
+	})
+	specs := realSpecs(objects, 40*time.Millisecond)
+	var updates atomic.Int64
+	onReal(t, pn.clk, func() error {
+		p.OnSend = func(uint32, string, uint64, time.Time) { updates.Add(1) }
+		return nil
+	})
+	for _, s := range specs {
+		onReal(t, pn.clk, func() error {
+			if d := p.Register(s); !d.Accepted {
+				return fmt.Errorf("%s rejected: %s", s.Name, d.Reason)
+			}
+			p.ClientWrite(s.Name, []byte(s.Name), nil)
+			return nil
+		})
+		time.Sleep(spread / objects)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for have := 0; have < objects; {
+		onReal(t, bn.clk, func() error { have = len(b.Specs()); return nil })
+		if time.Now().After(deadline) {
+			t.Fatalf("backup holds %d of %d specs after 5s", have, objects)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Every datagram the primary sends in the window counts, heartbeats
+	// and registration retries included.
+	u0, d0 := updates.Load(), pn.sent.Load()
+	time.Sleep(run)
+	u, d := updates.Load()-u0, pn.sent.Load()-d0
+	if d == 0 {
+		t.Fatal("primary sent no datagrams")
+	}
+	mean := float64(u) / float64(d)
+	t.Logf("%d updates in %d datagrams: %.2f per datagram", u, d, mean)
+	if mean < wantMean {
+		t.Fatalf("%.2f updates per datagram, want ≥ %.0f: same-period releases are not sharing frames", mean, wantMean)
 	}
 }

@@ -147,6 +147,10 @@ type Replica struct {
 	pumpOrder  []uint32
 	pumpNext   int
 
+	// groups holds the open release group for each update period
+	// (startUpdateTask); nil until the first normal-scheduling task.
+	groups map[time.Duration]*releaseGroup
+
 	// gov is the overload governor (nil when disabled or demoted).
 	gov *governor
 	// drainActive reports whether the bounded-queue drain pump holds a
@@ -669,6 +673,7 @@ func (r *Replica) Promote(epoch uint32) error {
 	}
 	r.catchingUp = 0
 	r.pumpActive, r.pumpOrder, r.pumpNext = false, nil, 0
+	r.groups = nil
 	r.drainActive = false
 	r.deadlineMisses = 0
 
@@ -746,6 +751,7 @@ func (r *Replica) Demote(epoch uint32, primary xkernel.Addr) error {
 	}
 	r.peers = nil
 	r.pumpActive, r.pumpOrder, r.pumpNext = false, nil, 0
+	r.groups = nil
 	r.drainActive = false
 	r.deadlineMisses = 0
 

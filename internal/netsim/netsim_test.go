@@ -288,9 +288,16 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 	got := make(chan string, 1)
-	b.SetReceiver(func(from string, payload []byte) {
-		got <- string(payload)
+	// The receiver is executor state: install it there, as the xkernel
+	// driver does when a protocol graph is built on the executor.
+	installed := make(chan struct{})
+	clk.Post(func() {
+		b.SetReceiver(func(from string, payload []byte) {
+			got <- string(payload)
+		})
+		close(installed)
 	})
+	<-installed
 	if err := a.Send(b.LocalAddr(), []byte("over-the-wire")); err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,10 @@ func (t *UDPTransport) Send(to string, payload []byte) error {
 	return err
 }
 
-// SetReceiver implements xkernel.Transport. Call before datagrams arrive;
-// the receiver runs on the clock executor.
+// SetReceiver implements xkernel.Transport. The receiver is read on the
+// clock executor, so SetReceiver must be called there too (for example
+// from a clock.Post callback): a call from another goroutine races with
+// the delivery of datagrams already posted.
 func (t *UDPTransport) SetReceiver(fn func(from string, payload []byte)) {
 	t.recv = fn
 }
