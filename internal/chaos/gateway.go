@@ -231,8 +231,9 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 	}
 	gw.Bind("hot", groupOf["hot"]...)
 	gw.Bind("quiet", groupOf["quiet"]...)
-	for _, names := range groupOf {
-		for _, name := range names {
+	groups := []string{"hot", "quiet"} // groupOf's keys, in a fixed order
+	for _, group := range groups {
+		for _, name := range groupOf[group] {
 			c.WriteEvery(name, 20*time.Millisecond)
 		}
 	}
@@ -244,7 +245,6 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 	// the same churn refills it.
 	burstStart := start.Add(sc.BurstAt)
 	burstEnd := burstStart.Add(sc.BurstFor)
-	groups := []string{"hot", "quiet"}
 	var connectAttempts, connectRejected int
 	nextGroup := 0
 	churn := clock.NewPeriodic(clk, 0, 2*time.Millisecond, func() {
@@ -445,8 +445,8 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 
 	// Convergence: every object — including the shed shard's — drains
 	// to its last steady write once the storm ends.
-	for _, names := range groupOf {
-		for _, name := range names {
+	for _, group := range groups {
+		for _, name := range groupOf[group] {
 			got, _, ok := c.Read(name)
 			want := c.LastWritten(name)
 			if !ok || !bytes.Equal(got, want) {

@@ -3,6 +3,8 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"rtpb/internal/core"
@@ -199,7 +201,9 @@ func RunShard(sc ShardScenario) (*Result, error) {
 	if st.Epoch < 2 {
 		violationf("crashed shard's serving epoch is %d, want >= 2", st.Epoch)
 	}
-	for name, idx := range shardOf {
+	placed := slices.Sorted(maps.Keys(shardOf))
+	for _, name := range placed {
+		idx := shardOf[name]
 		got, _, ok := c.Read(name)
 		want := c.LastWritten(name)
 		if !ok || !bytes.Equal(got, want) {
@@ -210,7 +214,8 @@ func RunShard(sc ShardScenario) (*Result, error) {
 	// The blast-radius property: no surviving group's backup image ever
 	// violated its external bound or had its accounting suspended — the
 	// crash next door was invisible to them.
-	for name, idx := range shardOf {
+	for _, name := range placed {
+		idx := shardOf[name]
 		if idx == sc.CrashShard {
 			continue
 		}

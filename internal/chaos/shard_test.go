@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,5 +62,32 @@ func TestShardScenarioReplaysByteIdentical(t *testing.T) {
 	}
 	if a.Elapsed != b.Elapsed || a.Promotions != b.Promotions || a.FinalEpoch != b.FinalEpoch {
 		t.Fatalf("results differ: %+v vs %+v", a, b)
+	}
+}
+
+// TestShardViolationOrderDeterministic replays a seed that violates the
+// scenario's invariants and requires the same violations, in the same
+// order, every time: the end-state checks walk objects by name, not in
+// map order.
+func TestShardViolationOrderDeterministic(t *testing.T) {
+	sc, _ := FindShard("shard-primary-crash")
+	sc.Seed = 2
+	var first *Result
+	for run := range 8 {
+		res, err := RunShard(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Failed() {
+			t.Fatal("seed 2 no longer violates an invariant; pick a violating seed")
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if !slices.Equal(res.Violations, first.Violations) || !slices.Equal(res.Log, first.Log) {
+			t.Fatalf("run %d differs from run 0:\n  %s\nvs\n  %s", run,
+				strings.Join(res.Violations, "\n  "), strings.Join(first.Violations, "\n  "))
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -99,6 +101,11 @@ type object struct {
 	// lands within δ_i^B, and until then the object must not be reported
 	// temporally consistent.
 	catchingUp bool
+
+	// util and tasks are the utilization and task count this object
+	// currently contributes to the admission ledger.
+	util  float64
+	tasks int
 }
 
 // supersedes reports whether an inbound (epoch, seq) pair is newer than
@@ -120,10 +127,37 @@ func (o *object) supersedes(epoch uint32, seq uint64) bool {
 type admission struct {
 	cfg     *Config
 	objects map[uint32]*object
-	byName  map[string]uint32
-	inter   []temporal.InterObjectConstraint
-	nextID  uint32
+	// order holds the table's objects in ascending id order; insert and
+	// drop keep it in step with objects.
+	order  []*object
+	byName map[string]uint32
+	inter  []temporal.InterObjectConstraint
+	nextID uint32
+	// ledger sums every object's contribution to the task set (util,
+	// tasks), so the utilization-based tests never rebuild the set.
+	ledger ledger
 }
+
+// ledger is a running Σ e_i/p_i over the admitted task set and its task
+// count. The sum is Neumaier-compensated: objects enter and leave in any
+// order, and a plain running sum would keep the rounding residue of every
+// departed term.
+type ledger struct {
+	sum, comp float64
+	tasks     int
+}
+
+func (l *ledger) add(u float64) {
+	t := l.sum + u
+	if math.Abs(l.sum) >= math.Abs(u) {
+		l.comp += (l.sum - t) + u
+	} else {
+		l.comp += (u - t) + l.sum
+	}
+	l.sum = t
+}
+
+func (l *ledger) utilization() float64 { return l.sum + l.comp }
 
 func newAdmission(cfg *Config) *admission {
 	return &admission{
@@ -134,31 +168,76 @@ func newAdmission(cfg *Config) *admission {
 	}
 }
 
-// ordered returns the admitted objects in id (admission) order — the
+// ordered returns the table's objects in id (admission) order — the
 // deterministic iteration every wire-visible path must use, and the
-// criticality order the overload governor's ladder walks.
-func (a *admission) ordered() []*object {
-	ids := make([]uint32, 0, len(a.objects))
-	for id := range a.objects {
-		ids = append(ids, id)
+// criticality order the overload governor's ladder walks. The slice is
+// the table's own index: callers must not modify it, nor insert or drop
+// objects while ranging over it.
+func (a *admission) ordered() []*object { return a.order }
+
+// insert adds o to the table and charges its tasks to the ledger.
+func (a *admission) insert(o *object) {
+	a.objects[o.id] = o
+	if n := len(a.order); n == 0 || a.order[n-1].id < o.id {
+		a.order = append(a.order, o) // ids are mostly assigned in order
+	} else {
+		i := sort.Search(n, func(i int) bool { return a.order[i].id > o.id })
+		a.order = slices.Insert(a.order, i, o)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*object, len(ids))
-	for i, id := range ids {
-		out[i] = a.objects[id]
-	}
-	return out
+	a.account(o)
 }
 
-// orderedIDs returns the object ids in ascending order — the deterministic
-// iteration for paths that only need identifiers.
-func (a *admission) orderedIDs() []uint32 {
-	ids := make([]uint32, 0, len(a.objects))
-	for id := range a.objects {
-		ids = append(ids, id)
+// drop removes o from the table, its name index, and the ledger.
+func (a *admission) drop(o *object) {
+	delete(a.objects, o.id)
+	if id, ok := a.byName[o.spec.Name]; ok && id == o.id {
+		delete(a.byName, o.spec.Name)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	if i := sort.Search(len(a.order), func(i int) bool { return a.order[i].id >= o.id }); i < len(a.order) && a.order[i] == o {
+		a.order = slices.Delete(a.order, i, i+1)
+	}
+	a.charge(o, 0, 0)
+}
+
+// load reports the utilization and task count o's spec and update period
+// put into the task set: the backup-update task (period r_i, one
+// transmission per replica), the client-service task (period p_i, one
+// client write), and for a critical object the synchronous transmission
+// on every client write. A spec-less placeholder (an orphan update at a
+// backup) has no admitted tasks.
+func (a *admission) load(o *object) (float64, int) {
+	if o.spec.Name == "" || o.updatePeriod <= 0 || o.spec.UpdatePeriod <= 0 {
+		return 0, 0
+	}
+	send := time.Duration(a.cfg.replicaCount()) * a.cfg.Costs.sendCost(o.spec.Size)
+	u := float64(send)/float64(o.updatePeriod) +
+		float64(a.cfg.Costs.clientCost(o.spec.Size))/float64(o.spec.UpdatePeriod)
+	if !o.spec.Critical {
+		return u, 2
+	}
+	return u + float64(send)/float64(o.spec.UpdatePeriod), 3
+}
+
+// account brings o's ledger contribution up to date after its spec or
+// update period changed.
+func (a *admission) account(o *object) {
+	u, n := a.load(o)
+	a.charge(o, u, n)
+}
+
+// charge replaces o's ledger contribution with utilization u over n tasks.
+func (a *admission) charge(o *object, u float64, n int) {
+	if u == o.util && n == o.tasks {
+		return
+	}
+	a.ledger.add(-o.util)
+	a.ledger.tasks -= o.tasks
+	o.util, o.tasks = u, n
+	a.ledger.add(u)
+	a.ledger.tasks += n
+	if a.ledger.tasks == 0 {
+		a.ledger = ledger{} // an empty set sums to exactly zero
+	}
 }
 
 // placeholder returns the object with the given wire-assigned id, creating
@@ -170,7 +249,7 @@ func (a *admission) placeholder(id uint32) *object {
 	o, ok := a.objects[id]
 	if !ok {
 		o = &object{id: id}
-		a.objects[id] = o
+		a.insert(o)
 	}
 	if id >= a.nextID {
 		a.nextID = id + 1
@@ -193,6 +272,7 @@ func (a *admission) installSpec(o *object, spec ObjectSpec) {
 		o.updatePeriod = spec.UpdatePeriod
 	}
 	o.nominalPeriod = o.updatePeriod
+	a.account(o)
 }
 
 // externalPeriod derives r_i from the external constraint:
@@ -226,47 +306,54 @@ func (a *admission) effectivePeriod(ext time.Duration, interBounds []time.Durati
 }
 
 // taskSet builds the schedulability-test task set for the current table
-// plus any extra candidate objects: per object, the backup-update task
-// (period r_i, cost of one transmission) and the client-service task
-// (period p_i, cost of one client write).
+// plus any extra candidate objects: per object, the tasks load counts.
+// Only the tests that look past total utilization (exact RM response
+// times, S_r specialization) need it; the rest read the ledger.
 func (a *admission) taskSet(extra ...*object) sched.TaskSet {
-	ts := make(sched.TaskSet, 0, 2*(len(a.objects)+len(extra)))
+	ts := make(sched.TaskSet, 0, a.ledger.tasks+3*len(extra))
 	replicas := time.Duration(a.cfg.replicaCount())
 	add := func(o *object) {
-		if o.spec.Name == "" || o.updatePeriod <= 0 {
-			// A spec-less placeholder (orphan update at a backup) has no
-			// admitted tasks; it must not divide the utilization math by a
-			// zero period.
+		if _, n := a.load(o); n == 0 {
 			return
 		}
+		send := replicas * a.cfg.Costs.sendCost(o.spec.Size)
 		ts = append(ts,
-			sched.Task{
-				Name:   o.spec.Name + "/update",
-				Period: o.updatePeriod,
-				WCET:   replicas * a.cfg.Costs.sendCost(o.spec.Size),
-			},
-			sched.Task{
-				Name:   o.spec.Name + "/client",
-				Period: o.spec.UpdatePeriod,
-				WCET:   a.cfg.Costs.clientCost(o.spec.Size),
-			})
+			sched.Task{Name: o.spec.Name + "/update", Period: o.updatePeriod, WCET: send},
+			sched.Task{Name: o.spec.Name + "/client", Period: o.spec.UpdatePeriod, WCET: a.cfg.Costs.clientCost(o.spec.Size)})
 		if o.spec.Critical {
-			// The hybrid path transmits synchronously on every client
-			// write, on top of the periodic update task.
-			ts = append(ts, sched.Task{
-				Name:   o.spec.Name + "/sync",
-				Period: o.spec.UpdatePeriod,
-				WCET:   replicas * a.cfg.Costs.sendCost(o.spec.Size),
-			})
+			ts = append(ts, sched.Task{Name: o.spec.Name + "/sync", Period: o.spec.UpdatePeriod, WCET: send})
 		}
 	}
-	for _, o := range a.objects {
+	for _, o := range a.order {
 		add(o)
 	}
 	for _, o := range extra {
 		add(o)
 	}
 	return ts
+}
+
+// fits reports whether the resident task set, plus cand when it is not
+// nil, passes the configured schedulability test. The RM-bound and EDF
+// tests depend only on total utilization and task count, so they run in
+// O(1) from the ledger; the exact RM and DCS tests build the task set.
+func (a *admission) fits(cand *object) bool {
+	switch a.cfg.SchedTest {
+	case SchedTestRMExact, SchedTestDCS:
+		if cand == nil {
+			return a.cfg.SchedTest.feasible(a.taskSet())
+		}
+		return a.cfg.SchedTest.feasible(a.taskSet(cand))
+	}
+	u, n := a.ledger.utilization(), a.ledger.tasks
+	if cand != nil {
+		cu, cn := a.load(cand)
+		u, n = u+cu, n+cn
+	}
+	if a.cfg.SchedTest == SchedTestEDF {
+		return sched.EDFBoundHolds(u)
+	}
+	return sched.RMBoundHolds(u, n)
 }
 
 // admit runs the Section 4.2 admission pipeline for a registration. On
@@ -325,13 +412,13 @@ func (a *admission) admit(spec ObjectSpec) (*object, Decision) {
 
 	// Test 3: schedulability of all update and client-service tasks with
 	// the candidate added (the paper's rate-monotonic test).
-	if !a.cfg.DisableAdmissionControl && !a.cfg.SchedTest.feasible(a.taskSet(cand)) {
+	if !a.cfg.DisableAdmissionControl && !a.fits(cand) {
 		return reject(
 			fmt.Sprintf("update task set unschedulable with %d objects", len(a.objects)+1),
 			a.suggestDeltaB(spec))
 	}
 
-	a.objects[cand.id] = cand
+	a.insert(cand)
 	a.byName[spec.Name] = cand.id
 	a.nextID++
 
@@ -342,8 +429,7 @@ func (a *admission) admit(spec ObjectSpec) (*object, Decision) {
 	// phase variance.
 	if a.cfg.SchedTest == SchedTestDCS && !a.cfg.DisableAdmissionControl {
 		if err := a.applyDCS(); err != nil {
-			delete(a.objects, cand.id)
-			delete(a.byName, spec.Name)
+			a.drop(cand)
 			_ = a.applyDCS() // restore the previous assignment
 			return reject(err.Error(), a.suggestDeltaB(spec))
 		}
@@ -360,28 +446,29 @@ func (a *admission) admit(spec ObjectSpec) (*object, Decision) {
 // Specialized periods never exceed the nominals, so every temporal
 // constraint keeps holding.
 func (a *admission) applyDCS() error {
-	if len(a.objects) == 0 {
-		return nil
-	}
-	ids := make([]uint32, 0, len(a.objects))
-	ts := make(sched.TaskSet, 0, len(a.objects))
-	for id, o := range a.objects {
+	objs := make([]*object, 0, len(a.order))
+	ts := make(sched.TaskSet, 0, len(a.order))
+	for _, o := range a.order {
 		if o.spec.Name == "" || o.nominalPeriod <= 0 {
 			continue // spec-less placeholder: nothing to specialize
 		}
-		ids = append(ids, id)
+		objs = append(objs, o)
 		ts = append(ts, sched.Task{
 			Name:   o.spec.Name + "/update",
 			Period: o.nominalPeriod,
 			WCET:   time.Duration(a.cfg.replicaCount()) * a.cfg.Costs.sendCost(o.spec.Size),
 		})
 	}
+	if len(ts) == 0 {
+		return nil
+	}
 	spec, ok := sched.SpecializeSr(ts)
 	if !ok {
 		return fmt.Errorf("S_r specialization infeasible with %d objects", len(a.objects))
 	}
-	for i, id := range ids {
-		a.objects[id].updatePeriod = spec[i].Period
+	for i, o := range objs {
+		o.updatePeriod = spec[i].Period
+		a.account(o)
 	}
 	return nil
 }
@@ -399,7 +486,7 @@ func (a *admission) suggestDeltaB(spec ObjectSpec) time.Duration {
 		if cand.updatePeriod <= 0 {
 			continue
 		}
-		if a.cfg.SchedTest.feasible(a.taskSet(cand)) {
+		if a.fits(cand) {
 			return try.Constraint.DeltaB
 		}
 	}
@@ -441,14 +528,18 @@ func (a *admission) admitInterObject(c temporal.InterObjectConstraint) (Decision
 	savedNomI, savedNomJ := oi.nominalPeriod, oj.nominalPeriod
 	oi.updatePeriod, oj.updatePeriod = tightI, tightJ
 	oi.nominalPeriod, oj.nominalPeriod = tightI, tightJ
+	a.account(oi)
+	a.account(oj)
 	rollback := func() {
 		oi.updatePeriod, oj.updatePeriod = savedI, savedJ
 		oi.nominalPeriod, oj.nominalPeriod = savedNomI, savedNomJ
+		a.account(oi)
+		a.account(oj)
 		if a.cfg.SchedTest == SchedTestDCS && !a.cfg.DisableAdmissionControl {
 			_ = a.applyDCS()
 		}
 	}
-	if !a.cfg.DisableAdmissionControl && !a.cfg.SchedTest.feasible(a.taskSet()) {
+	if !a.cfg.DisableAdmissionControl && !a.fits(nil) {
 		rollback()
 		reason := fmt.Sprintf("update tasks unschedulable with δ_ij=%v", c.Delta)
 		return Decision{Accepted: false, Reason: reason}, fmt.Errorf("%w: %s", ErrRejected, reason)
@@ -475,7 +566,7 @@ func (a *admission) byNameOrErr(name string) (*object, error) {
 
 // utilization reports the admitted task set's total CPU utilization.
 func (a *admission) utilization() float64 {
-	return a.taskSet().Utilization()
+	return a.ledger.utilization()
 }
 
 // utilizationWith reports what the task set's utilization would be were
@@ -492,7 +583,8 @@ func (a *admission) utilizationWith(spec ObjectSpec) (float64, bool) {
 	if cand.updatePeriod <= 0 {
 		return 0, false
 	}
-	return a.taskSet(cand).Utilization(), true
+	u, _ := a.load(cand)
+	return a.ledger.utilization() + u, true
 }
 
 // PlanAdmission dry-runs the admission pipeline over a sequence of

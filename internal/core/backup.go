@@ -261,8 +261,8 @@ func (b *Backup) send(msg wire.Message) {
 // order — the deterministic enumeration promotion-visible surfaces use.
 func (b *Backup) Specs() []ObjectSpec {
 	out := make([]ObjectSpec, 0, len(b.adm.byName))
-	for _, id := range b.adm.orderedIDs() {
-		if o := b.adm.objects[id]; o.spec.Name != "" {
+	for _, o := range b.adm.ordered() {
+		if o.spec.Name != "" {
 			out = append(out, o.spec)
 		}
 	}
@@ -273,8 +273,7 @@ func (b *Backup) Specs() []ObjectSpec {
 // admission order.
 func (b *Backup) State() []wire.StateEntry {
 	out := make([]wire.StateEntry, 0, len(b.adm.objects))
-	for _, id := range b.adm.orderedIDs() {
-		o := b.adm.objects[id]
+	for _, o := range b.adm.ordered() {
 		if !o.hasData {
 			continue
 		}
@@ -312,8 +311,7 @@ type SnapshotEntry struct {
 // Snapshot captures every registered object's spec and replicated value.
 func (b *Backup) Snapshot() []SnapshotEntry {
 	out := make([]SnapshotEntry, 0, len(b.adm.byName))
-	for _, id := range b.adm.orderedIDs() {
-		o := b.adm.objects[id]
+	for _, o := range b.adm.ordered() {
 		if o.spec.Name == "" {
 			continue
 		}

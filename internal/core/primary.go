@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"rtpb/internal/clock"
@@ -225,41 +226,101 @@ func (p *Primary) startUpdateTask(o *object) {
 // phase this way costs no schedulability.
 type releaseGroup struct {
 	anchor  time.Time
+	opened  time.Time
 	members int
 }
+
+// maxGroupPhases bounds the groups remembered per period. Only their
+// phases are read, to place a new group, and a group's members may since
+// have been removed; forgetting the oldest keeps the bookkeeping bounded
+// under registration churn.
+const maxGroupPhases = 64
 
 // joinReleaseGroup returns the first-release offset for a new update task
 // with the given period. The task joins the open group for its period if
 // that group has fewer than min(FrameBatch, SendQueueLimit) members —
 // one frame's worth, and no more than a peer's send queue holds without
 // dropping — and then first releases at the group's next instant after
-// now. Otherwise it opens a new group one period out. Either way the
-// offset lies in (0, period]. Tasks started at one instant (every
-// simulated registration batch, every promotion) all open or join a
-// group anchored at now + period, so their schedule is the one-period-out
-// rule's. The legacy unbounded queue keeps that rule for every task.
+// now. Otherwise it opens a new group. Either way the offset lies in
+// (0, period].
+//
+// A new group anchors one period out when the full group it replaces
+// opened at this same instant: tasks started together (every simulated
+// registration batch, every promotion) keep the one-period-out schedule.
+// When the full group opened earlier — registrations arriving one by one
+// in real time — the new group anchors at the midpoint of the widest gap
+// between the period's group phases. Back-to-back groups would otherwise
+// release microseconds apart and enqueue more updates at once than a
+// peer's send queue holds. FrameBatch = 1 and the legacy unbounded queue
+// keep the one-period-out rule for every task.
 func (p *Primary) joinReleaseGroup(period time.Duration) time.Duration {
 	limit := 1
 	if p.cfg.SendQueueLimit != UnboundedSendQueue {
 		limit = min(p.cfg.FrameBatch, p.cfg.SendQueueLimit)
 	}
+	if limit <= 1 {
+		return period
+	}
 	now := p.clk.Now()
-	g := p.groups[period]
-	if g != nil && g.members < limit {
-		// Clock readings never decrease (SkewedClock latches a backward
-		// step), so the anchor is at most one period ahead of now.
-		g.members++
-		d := g.anchor.Sub(now)
-		if d <= 0 {
-			d = period - (-d)%period // the next anchor + k·period after now
+	gs := p.groups[period]
+	offset := period
+	if n := len(gs); n > 0 {
+		open := gs[n-1]
+		if open.members < limit {
+			open.members++
+			return nextRelease(open.anchor, now, period)
 		}
-		return d
+		if now.After(open.opened) {
+			offset = widestGapMidpoint(gs, now, period)
+		}
+		if n == maxGroupPhases {
+			gs = slices.Delete(gs, 0, 1)
+		}
 	}
 	if p.groups == nil {
-		p.groups = make(map[time.Duration]*releaseGroup)
+		p.groups = make(map[time.Duration][]*releaseGroup)
 	}
-	p.groups[period] = &releaseGroup{anchor: now.Add(period), members: 1}
-	return period
+	p.groups[period] = append(gs, &releaseGroup{anchor: now.Add(offset), opened: now, members: 1})
+	return offset
+}
+
+// nextRelease returns the offset in (0, period] from now to the next
+// instant anchor + k·period. Clock readings never decrease (SkewedClock
+// latches a backward step), so an anchor is at most one period ahead.
+func nextRelease(anchor, now time.Time, period time.Duration) time.Duration {
+	d := anchor.Sub(now)
+	if d <= 0 {
+		d = period - (-d)%period
+	}
+	return d
+}
+
+// widestGapMidpoint returns the offset in (0, period] from now to the
+// middle of the widest gap between the release phases of gs. Inserted
+// this way, k groups' phases stay at least period/(2k) apart. Among equal
+// gaps it takes the latest midpoint, which leaves the new group's later
+// members the longest time to join before its first release.
+func widestGapMidpoint(gs []*releaseGroup, now time.Time, period time.Duration) time.Duration {
+	phases := make([]time.Duration, len(gs))
+	for i, g := range gs {
+		phases[i] = nextRelease(g.anchor, now, period) % period
+	}
+	slices.Sort(phases)
+	var gap, mid time.Duration
+	for i, from := range phases {
+		to := period + phases[0] // the gap after the last phase wraps
+		if i+1 < len(phases) {
+			to = phases[i+1]
+		}
+		m := (from + (to-from)/2) % period
+		if m == 0 {
+			m = period
+		}
+		if d := to - from; d > gap || d == gap && m > mid {
+			gap, mid = d, m
+		}
+	}
+	return mid
 }
 
 func (p *Primary) retimeUpdateTask(o *object) {

@@ -506,3 +506,71 @@ func TestRealTimeReleaseGroupsFillFrames(t *testing.T) {
 		t.Fatalf("%.2f updates per datagram, want ≥ %.0f: same-period releases are not sharing frames", mean, wantMean)
 	}
 }
+
+// TestRealTimeFastRegistrationHoldsDeltaB registers the read-mix
+// workload's 256 objects in one executor turn, microseconds apart. The
+// release groups they form must spread over the period: if they released
+// back to back, each release would enqueue more updates than the peer's
+// send queue holds, and drop-oldest would push backup images past δ_B.
+func TestRealTimeFastRegistrationHoldsDeltaB(t *testing.T) {
+	const (
+		objects = 256
+		period  = 40 * time.Millisecond
+		run     = time.Second
+		warmup  = 200 * time.Millisecond
+	)
+	pn, bn, p, b := newRealPair(t, func(c *Config) {
+		c.Costs = CostModel{ClientOp: time.Nanosecond, UpdateSend: time.Nanosecond}
+	})
+	specs := realSpecs(objects, period)
+	for i := range specs {
+		specs[i].Name = fmt.Sprintf("o%03d", i)
+	}
+	registerReal(t, pn, bn, p, b, specs)
+
+	start := time.Now()
+	var violations []string
+	var sampler *clock.Periodic
+	onReal(t, bn.clk, func() error {
+		sampler = clock.NewPeriodic(bn.clk, 0, 5*time.Millisecond, func() {
+			if time.Since(start) < warmup || len(violations) >= 5 {
+				return
+			}
+			for _, s := range specs {
+				c, ok := b.Certificate(s.Name)
+				switch {
+				case !ok:
+					violations = append(violations, fmt.Sprintf("%s: no image at %v", s.Name, time.Since(start)))
+				case c.Age >= c.Bound:
+					violations = append(violations, fmt.Sprintf("%s: age %v ≥ δ_B %v at %v", s.Name, c.Age, c.Bound, time.Since(start)))
+				}
+			}
+		})
+		return nil
+	})
+	tick := time.NewTicker(period)
+	for i := 0; time.Since(start) < run; i++ {
+		<-tick.C
+		payload := []byte(fmt.Sprintf("write %04d", i))
+		pn.clk.Post(func() {
+			for _, s := range specs {
+				p.ClientWrite(s.Name, payload, nil)
+			}
+		})
+	}
+	tick.Stop()
+	onReal(t, bn.clk, func() error { sampler.Stop(); return nil })
+
+	var dropped int
+	onReal(t, pn.clk, func() error {
+		st, _ := p.PeerLink(bn.addr())
+		dropped = st.Queue.DroppedOldest
+		return nil
+	})
+	if dropped != 0 {
+		t.Errorf("send queue dropped %d oldest entries, want 0", dropped)
+	}
+	for _, v := range violations {
+		t.Errorf("backup certificate: %s", v)
+	}
+}

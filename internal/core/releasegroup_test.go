@@ -198,3 +198,50 @@ func TestReleaseGroupsOffStartOnePeriodOut(t *testing.T) {
 		})
 	}
 }
+
+// TestReleaseGroupsSpreadAcrossPeriod registers objects one by one in a
+// burst lasting a sixteenth of their period, so every full group is
+// replaced at a later instant than it opened. The groups must still
+// spread over the period: k groups' phases at least period/(2k) apart,
+// with every first release within one period of its registration.
+func TestReleaseGroupsSpreadAcrossPeriod(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Config)
+		objects int
+	}{
+		{"defaults", nil, 64},
+		{"FrameBatch=4", func(c *Config) { c.FrameBatch = 4 }, 40},
+		{"SendQueueLimit=3", func(c *Config) { c.SendQueueLimit = 3 }, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := groupCluster(t, tc.mutate)
+			g := newGroupRun(c)
+			g.register(t, "o00")
+			r := g.period["o00"]
+			for i := 1; i < tc.objects; i++ {
+				c.clk.RunFor(r / time.Duration(16*tc.objects))
+				g.register(t, fmt.Sprintf("o%02d", i))
+			}
+			groups := c.primary.groups[r]
+			c.clk.RunFor(2 * r)
+			for name := range g.reg {
+				g.firstRelease(t, name)
+			}
+
+			phases := make([]time.Duration, len(groups))
+			for i, grp := range groups {
+				phases[i] = (grp.anchor.Sub(groups[0].anchor)%r + r) % r
+			}
+			sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
+			minGap := r - phases[len(phases)-1] + phases[0]
+			for i := 1; i < len(phases); i++ {
+				minGap = min(minGap, phases[i]-phases[i-1])
+			}
+			if want := r / time.Duration(2*len(groups)); minGap < want {
+				t.Fatalf("%d groups with phases %v: closest two %v apart, want ≥ period/(2·groups) = %v",
+					len(groups), phases, minGap, want)
+			}
+		})
+	}
+}

@@ -31,20 +31,13 @@ func (a *admission) remove(name string) (*object, error) {
 			return nil, fmt.Errorf("%w: %q", ErrConstrained, name)
 		}
 	}
-	delete(a.objects, o.id)
-	delete(a.byName, name)
+	a.drop(o)
 	if a.cfg.SchedTest == SchedTestDCS && !a.cfg.DisableAdmissionControl && len(a.objects) > 0 {
 		// Re-specialize the survivors: with the departed object's task
 		// gone, S_r may grant the rest longer harmonic periods.
 		_ = a.applyDCS()
 	}
 	return o, nil
-}
-
-// feasible reports whether the resident task set passes the configured
-// schedulability test.
-func (a *admission) feasible() bool {
-	return a.cfg.SchedTest.feasible(a.taskSet())
 }
 
 // RemoveObject revokes one object's registration: the update task stops,
@@ -98,7 +91,7 @@ func (p *Primary) RemoveObject(name string) error {
 // its configured schedulability test. The placement layer's property —
 // no accepted placement sequence may overcommit a shard — is stated in
 // terms of this predicate.
-func (p *Primary) Feasible() bool { return p.adm.feasible() }
+func (p *Primary) Feasible() bool { return p.adm.fits(nil) }
 
 // ResyncPeers restarts the chunked anti-entropy exchange toward every
 // live peer. The digest diff ensures only missing or stale entries are
@@ -130,9 +123,6 @@ func (b *Backup) handleUnregister(t *wire.Unregister) {
 	if o.catchingUp {
 		b.catchingUp--
 	}
-	if o.spec.Name != "" {
-		delete(b.adm.byName, o.spec.Name)
-	}
-	delete(b.adm.objects, t.ObjectID)
+	b.adm.drop(o)
 	b.logUnregister(t.ObjectID)
 }

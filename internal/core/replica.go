@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rtpb/internal/clock"
@@ -147,9 +147,10 @@ type Replica struct {
 	pumpOrder  []uint32
 	pumpNext   int
 
-	// groups holds the open release group for each update period
-	// (startUpdateTask); nil until the first normal-scheduling task.
-	groups map[time.Duration]*releaseGroup
+	// groups holds the release groups of each update period, oldest
+	// first; the last is the open one (startUpdateTask). Nil until the
+	// first normal-scheduling task.
+	groups map[time.Duration][]*releaseGroup
 
 	// gov is the overload governor (nil when disabled or demoted).
 	gov *governor
@@ -629,17 +630,14 @@ func (r *Replica) Promote(epoch uint32) error {
 	// name, no constraint, and no admitted schedule — they cannot be
 	// served, and silently losing them is the one thing we must not do.
 	var dropped []uint32
-	for id, o := range r.adm.objects {
+	for _, o := range slices.Clone(r.adm.ordered()) {
 		if o.spec.Name == "" {
-			dropped = append(dropped, id)
-			delete(r.adm.objects, id)
+			dropped = append(dropped, o.id)
+			r.adm.drop(o)
 		}
 	}
-	if len(dropped) > 0 {
-		sort.Slice(dropped, func(i, j int) bool { return dropped[i] < dropped[j] })
-		if r.OnPlaceholderDrop != nil {
-			r.OnPlaceholderDrop(dropped)
-		}
+	if len(dropped) > 0 && r.OnPlaceholderDrop != nil {
+		r.OnPlaceholderDrop(dropped)
 	}
 
 	// Flip the role. Everything below is per-object bookkeeping reset —

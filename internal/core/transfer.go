@@ -529,13 +529,12 @@ func (b *Backup) sendDigest() {
 		b.digestRetry = nil
 	}
 	d := &wire.StateDigest{Epoch: b.epoch}
-	for _, id := range b.adm.orderedIDs() {
-		o := b.adm.objects[id]
+	for _, o := range b.adm.ordered() {
 		if !o.hasData {
 			continue
 		}
 		d.Entries = append(d.Entries, wire.DigestEntry{
-			ObjectID: id,
+			ObjectID: o.id,
 			Epoch:    o.recvEpoch,
 			Seq:      o.seq,
 			Version:  o.version.UnixNano(),

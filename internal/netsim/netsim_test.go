@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -309,4 +310,104 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("datagram not delivered")
 	}
+}
+
+// TestUDPTransportSenderAddress checks that the reader reports a sender
+// as the address string it sends from, datagram after datagram, so the
+// xkernel driver keeps matching sessions by peer address.
+func TestUDPTransportSenderAddress(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	a, err := NewUDP(clk, "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer a.Close()
+	b, err := NewUDP(clk, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	from := make(chan string, 3)
+	installed := make(chan struct{})
+	clk.Post(func() {
+		b.SetReceiver(func(f string, _ []byte) { from <- f })
+		close(installed)
+	})
+	<-installed
+	for range 3 {
+		if err := a.Send(b.LocalAddr(), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case f := <-from:
+			if f != a.LocalAddr() {
+				t.Fatalf("sender reported as %q, want %q", f, a.LocalAddr())
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("datagram not delivered")
+		}
+	}
+}
+
+// TestUDPTransportSendAllocs pins the send path: once a destination is
+// resolved, sending to it again allocates nothing.
+func TestUDPTransportSendAllocs(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	a, err := NewUDP(clk, "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer a.Close()
+	b, err := NewUDP(clk, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	to, payload := b.LocalAddr(), make([]byte, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := a.Send(to, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Send to a known peer allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestUDPTransportConcurrentSend sends from several goroutines at once,
+// to new and known destinations, so the race detector sees every access
+// to the resolved-address cache.
+func TestUDPTransportConcurrentSend(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	a, err := NewUDP(clk, "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer a.Close()
+	var dests []string
+	for range 2 {
+		b, err := NewUDP(clk, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		dests = append(dests, b.LocalAddr())
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				if err := a.Send(dests[(g+i)%len(dests)], []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -22,11 +22,19 @@ func RMUtilizationBound(n int) float64 {
 // schedulable; use FeasibleRMExact for the exact (necessary and
 // sufficient) test.
 func FeasibleRM(ts TaskSet) bool {
-	if len(ts) == 0 {
-		return true
-	}
-	return ts.Utilization() <= RMUtilizationBound(len(ts))+1e-12
+	return RMBoundHolds(ts.Utilization(), len(ts))
 }
+
+// RMBoundHolds is FeasibleRM for a task set known only by its total
+// utilization u and task count n, for callers that keep a running total
+// instead of the set.
+func RMBoundHolds(u float64, n int) bool {
+	return n == 0 || u <= RMUtilizationBound(n)+1e-12
+}
+
+// EDFBoundHolds is FeasibleEDF for implicit-deadline tasks known only by
+// their total utilization u.
+func EDFBoundHolds(u float64) bool { return u <= 1+1e-12 }
 
 // FeasibleRMExact reports whether the task set is schedulable under
 // preemptive rate-monotonic priorities, using response-time analysis
@@ -78,7 +86,7 @@ func FeasibleEDF(ts TaskSet) bool {
 		}
 		d += float64(t.WCET) / float64(den)
 	}
-	return d <= 1+1e-12
+	return EDFBoundHolds(d)
 }
 
 // SpecializeSr transforms the task set's periods into a harmonic set using
@@ -195,10 +203,7 @@ func specializePeriod(c, b time.Duration) time.Duration {
 // Σ e_i/p_i ≤ n(2^{1/n} - 1) guarantees scheduler S_r can run each task at
 // an exact period no larger than p_i, making every phase variance zero.
 func FeasibleDCS(ts TaskSet) bool {
-	if len(ts) == 0 {
-		return true
-	}
-	return ts.Utilization() <= RMUtilizationBound(len(ts))+1e-12
+	return RMBoundHolds(ts.Utilization(), len(ts))
 }
 
 // FeasibleDCSExact reports whether S_r specialization actually succeeds
